@@ -14,10 +14,9 @@
 // database, exactly the paper's worst case.
 //
 // Knobs:
-//   --backend=sharded|monolithic  store backend for the sweep
-//   --compare                     sharded-vs-monolithic ADD throughput at
-//                                 --workers threads (default 8), with and
-//                                 without concurrent GET(0) scan load
+//   --compare                     ADD throughput at --workers threads
+//                                 (default 8), with and without
+//                                 concurrent GET(0) scan load
 //   --workers=N                   worker threads for --compare
 //   --replicas=N                  read-scaling section: GET(0) scans via
 //                                 the failover-aware cluster client over
@@ -42,8 +41,8 @@
 //              on vs off, with the server's GET latency buckets
 //   bootstrap  fresh-follower sync time + entries replayed, checkpoint
 //              cutover vs full entry replay
-//   scan_cost  pure GET(0) scan throughput per backend at a fixed db
-//              size — isolates the scan term of the --compare workload
+//   scan_cost  pure GET(0) scan throughput at a fixed db size —
+//              isolates the scan term of the --compare workload
 //   net        repeat GET polls over the real TCP server: zero-copy
 //              reply accounting (reply_bytes_shared vs _copied) and
 //              gather-flush counters from the non-blocking reply path
@@ -75,13 +74,12 @@ using communix::UserId;
 using communix::UserToken;
 using communix::VirtualClock;
 
-CommunixServer::Options ServerOptions(communix::store::Backend backend) {
+CommunixServer::Options ServerOptions() {
   CommunixServer::Options opts;
   // The paper's bench streams random signatures from synthetic load
   // generators; per-user daily quotas are not the measured effect. Use
   // one user id per session and a high quota.
   opts.per_user_daily_limit = 1'000'000;
-  opts.store.backend = backend;
   return opts;
 }
 
@@ -92,9 +90,9 @@ struct Row {
   std::uint64_t db_size;
 };
 
-Row RunSweepPoint(std::size_t sessions, communix::store::Backend backend) {
+Row RunSweepPoint(std::size_t sessions) {
   VirtualClock clock;  // virtual day never ends: rate limits don't distort
-  CommunixServer server(clock, ServerOptions(backend));
+  CommunixServer server(clock, ServerOptions());
 
   const std::size_t workers =
       std::min<std::size_t>(std::thread::hardware_concurrency() * 4,
@@ -139,15 +137,14 @@ Row RunSweepPoint(std::size_t sessions, communix::store::Backend backend) {
 }
 
 // ---------------------------------------------------------------------------
-// --compare: ADD throughput, sharded vs the single-mutex baseline.
+// --compare: ADD throughput with and without concurrent scans.
 //
 // Everything except the server call is precomputed (tokens, signatures),
 // so the timed region is the validation pipeline + store itself. One user
 // per ADD, as in the sweep: the contended resource is the store, not one
 // user's quota state. The scan variant interleaves GET(0) database scans
-// the way the paper's sequences do — on the monolithic store those scans
-// hold the reader lock and block every ADD; on the sharded store they
-// are lock-free.
+// the way the paper's sequences do; the store's scans are lock-free, so
+// they cost the writers CPU time but never block them.
 // ---------------------------------------------------------------------------
 struct CompareResult {
   double adds_per_second;
@@ -155,11 +152,10 @@ struct CompareResult {
   std::uint64_t accepted;
 };
 
-CompareResult RunAddThroughput(communix::store::Backend backend,
-                               std::size_t workers, std::size_t total_adds,
+CompareResult RunAddThroughput(std::size_t workers, std::size_t total_adds,
                                bool with_scans) {
   VirtualClock clock;
-  CommunixServer server(clock, ServerOptions(backend));
+  CommunixServer server(clock, ServerOptions());
 
   struct Prepared {
     UserToken token;
@@ -219,38 +215,21 @@ CompareResult RunAddThroughput(communix::store::Backend backend,
 
 void RunCompare(std::size_t workers, std::size_t total_adds,
                 communix::bench::BenchJson& json) {
-  communix::bench::PrintHeader(
-      "Sharded store vs single-mutex baseline (ADD throughput, " +
-      std::to_string(workers) + " worker threads)");
-  std::printf("%12s %12s %16s %10s %12s\n", "workload", "backend",
-              "adds/sec", "seconds", "accepted");
+  communix::bench::PrintHeader("ADD throughput, " + std::to_string(workers) +
+                               " worker threads");
+  std::printf("%12s %16s %10s %12s\n", "workload", "adds/sec", "seconds",
+              "accepted");
   for (const bool with_scans : {false, true}) {
     const char* workload = with_scans ? "add+scan" : "add-only";
-    double rate[2] = {0, 0};
-    int i = 0;
-    for (const auto backend : {communix::store::Backend::kMonolithic,
-                               communix::store::Backend::kSharded}) {
-      const CompareResult r =
-          RunAddThroughput(backend, workers, total_adds, with_scans);
-      rate[i++] = r.adds_per_second;
-      std::printf("%12s %12s %16.0f %10.3f %12llu\n", workload,
-                  communix::bench::BackendName(backend), r.adds_per_second,
-                  r.seconds, static_cast<unsigned long long>(r.accepted));
-      json.AddRow("compare",
-                  {{"workers", static_cast<double>(workers)},
-                   {"total_adds", static_cast<double>(total_adds)},
-                   {"with_scans", with_scans ? 1.0 : 0.0},
-                   {"sharded",
-                    backend == communix::store::Backend::kSharded ? 1.0 : 0.0},
-                   {"adds_per_second", r.adds_per_second},
-                   {"seconds", r.seconds}});
-    }
-    std::printf("%12s %12s %15.2fx\n", workload, "speedup",
-                rate[1] / rate[0]);
-    json.AddRow("compare_speedup",
+    const CompareResult r = RunAddThroughput(workers, total_adds, with_scans);
+    std::printf("%12s %16.0f %10.3f %12llu\n", workload, r.adds_per_second,
+                r.seconds, static_cast<unsigned long long>(r.accepted));
+    json.AddRow("compare",
                 {{"workers", static_cast<double>(workers)},
+                 {"total_adds", static_cast<double>(total_adds)},
                  {"with_scans", with_scans ? 1.0 : 0.0},
-                 {"speedup", rate[1] / rate[0]}});
+                 {"adds_per_second", r.adds_per_second},
+                 {"seconds", r.seconds}});
   }
 }
 
@@ -693,14 +672,10 @@ void RunBootstrapSeries(bool smoke, communix::bench::BenchJson& json) {
 // ---------------------------------------------------------------------------
 // scan_cost: the scan term of --compare, isolated.
 //
-// The --compare add+scan speedup once dipped to ~0.94x on the sharded
-// store: every GET(0) was paying one segment-pointer chase (an acquire
-// load) *per entry* inside SignatureLog iteration, which swamped the
-// lock-freedom win at bench db sizes. Visit() now hoists the chase to
-// once per 1024-entry segment (signature_log.cpp); this section times
-// pure whole-database scans per backend — no concurrent ADDs — so any
-// future regression of the scan term shows up here directly instead of
-// buried in the mixed-workload ratio.
+// Whole-database GET(0) scans with no concurrent ADDs, so a regression of
+// the scan term (SignatureLog::Visit — it chases one segment pointer per
+// 1024-entry segment, not per entry) shows up here directly instead of
+// buried in the mixed --compare workload.
 // ---------------------------------------------------------------------------
 void RunScanCost(bool smoke, communix::bench::BenchJson& json) {
   const std::size_t preload = smoke ? 500 : 4000;
@@ -708,40 +683,34 @@ void RunScanCost(bool smoke, communix::bench::BenchJson& json) {
 
   communix::bench::PrintHeader(
       "Scan cost: whole-database GET(0) iteration, no write load");
-  std::printf("%12s %12s %12s\n", "backend", "scans/sec", "db size");
+  std::printf("%12s %12s\n", "scans/sec", "db size");
 
-  for (const auto backend : {communix::store::Backend::kMonolithic,
-                             communix::store::Backend::kSharded}) {
-    VirtualClock clock;
-    CommunixServer server(clock, ServerOptions(backend));
-    Rng rng(0x5CAB);
-    for (std::size_t i = 0; i < preload; ++i) {
-      (void)server.AddSignature(
-          server.IssueToken(static_cast<UserId>(i + 1)),
-          communix::bench::RandomSignature(
-              rng, static_cast<std::uint32_t>(i + 1)));
-    }
-
-    std::uint64_t bytes = 0;
-    Stopwatch watch;
-    for (std::size_t s = 0; s < scans; ++s) {
-      server.VisitSince(0, [&](std::uint64_t,
-                               const std::vector<std::uint8_t>& b) {
-        bytes += b.size();
-      });
-    }
-    const double seconds = watch.ElapsedSeconds();
-    const double rate = static_cast<double>(scans) / seconds;
-    (void)bytes;
-
-    std::printf("%12s %12.0f %12llu\n", communix::bench::BackendName(backend),
-                rate, static_cast<unsigned long long>(server.db_size()));
-    json.AddRow("scan_cost",
-                {{"sharded",
-                  backend == communix::store::Backend::kSharded ? 1.0 : 0.0},
-                 {"db_size", static_cast<double>(server.db_size())},
-                 {"scans_per_second", rate}});
+  VirtualClock clock;
+  CommunixServer server(clock, ServerOptions());
+  Rng rng(0x5CAB);
+  for (std::size_t i = 0; i < preload; ++i) {
+    (void)server.AddSignature(
+        server.IssueToken(static_cast<UserId>(i + 1)),
+        communix::bench::RandomSignature(rng,
+                                         static_cast<std::uint32_t>(i + 1)));
   }
+
+  std::uint64_t bytes = 0;
+  Stopwatch watch;
+  for (std::size_t s = 0; s < scans; ++s) {
+    server.VisitSince(
+        0, [&](std::uint64_t, const std::vector<std::uint8_t>& b) {
+          bytes += b.size();
+        });
+  }
+  const double seconds = watch.ElapsedSeconds();
+  const double rate = static_cast<double>(scans) / seconds;
+  (void)bytes;
+
+  std::printf("%12.0f %12llu\n", rate,
+              static_cast<unsigned long long>(server.db_size()));
+  json.AddRow("scan_cost", {{"db_size", static_cast<double>(server.db_size())},
+                            {"scans_per_second", rate}});
 }
 
 // ---------------------------------------------------------------------------
@@ -852,7 +821,6 @@ void RunNetSeries(bool smoke, communix::bench::BenchJson& json) {
 int main(int argc, char** argv) {
   bool smoke = false;
   bool compare = false;
-  std::string backend_name = "sharded";
   std::string workers_value = "8";
   std::string replicas_value = "0";
   std::string groups_value = "0";
@@ -863,9 +831,7 @@ int main(int argc, char** argv) {
       smoke = true;
     } else if (communix::bench::FlagIs(argv[i], "--compare")) {
       compare = true;
-    } else if (communix::bench::FlagValue(argv[i], "--backend",
-                                          &backend_name) ||
-               communix::bench::FlagValue(argv[i], "--workers",
+    } else if (communix::bench::FlagValue(argv[i], "--workers",
                                           &workers_value) ||
                communix::bench::FlagValue(argv[i], "--replicas",
                                           &replicas_value) ||
@@ -874,14 +840,12 @@ int main(int argc, char** argv) {
                communix::bench::FlagValue(argv[i], "--json", &json_path)) {
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--smoke] [--compare] "
-                   "[--backend=sharded|monolithic] [--workers=N] "
+                   "usage: %s [--smoke] [--compare] [--workers=N] "
                    "[--replicas=N] [--groups=G] [--json=PATH]\n",
                    argv[0]);
       return 2;
     }
   }
-  const auto backend = communix::bench::ParseBackend(backend_name);
   char* end = nullptr;
   const unsigned long workers_parsed =
       std::strtoul(workers_value.c_str(), &end, 10);
@@ -912,9 +876,7 @@ int main(int argc, char** argv) {
   communix::bench::BenchJson json("fig2_server_throughput");
 
   communix::bench::PrintHeader(
-      std::string("Figure 2: Communix server throughput "
-                  "(ADD(sig),GET(0) sequences, ") +
-      communix::bench::BackendName(backend) + " store)");
+      "Figure 2: Communix server throughput (ADD(sig),GET(0) sequences)");
   std::printf("%12s %16s %10s %10s\n", "sessions(k)", "requests/sec",
               "seconds", "db size");
   // The paper sweeps 1k..100k; GET(0) iteration cost is O(db), i.e. the
@@ -923,14 +885,12 @@ int main(int argc, char** argv) {
       smoke ? std::vector<std::size_t>{1, 5}
             : std::vector<std::size_t>{1, 5, 10, 20, 30, 40, 50, 75, 100};
   for (std::size_t thousands : sweep) {
-    const Row row = RunSweepPoint(thousands * 1'000, backend);
+    const Row row = RunSweepPoint(thousands * 1'000);
     std::printf("%12zu %16.0f %10.2f %10llu\n", thousands,
                 row.requests_per_second, row.seconds,
                 static_cast<unsigned long long>(row.db_size));
     json.AddRow("sweep",
                 {{"sessions", static_cast<double>(row.sessions)},
-                 {"sharded",
-                  backend == communix::store::Backend::kSharded ? 1.0 : 0.0},
                  {"requests_per_second", row.requests_per_second},
                  {"seconds", row.seconds},
                  {"db_size", static_cast<double>(row.db_size)}});

@@ -26,7 +26,7 @@ CommunixServer::CommunixServer(Clock& clock, Options options)
     : clock_(clock),
       options_(options),
       authority_(options.server_key),
-      store_(store::SignatureStore::Create(options.store)),
+      store_(options.store),
       metrics_(options.metrics ? options.metrics
                                : std::make_shared<obs::MetricsRegistry>()) {
   obs::MetricsRegistry& reg = *metrics_;
@@ -76,16 +76,16 @@ CommunixServer::CommunixServer(Clock& clock, Options options)
   trace_opts.slow_threshold_ns = options_.store.slow_request_ns;
   trace_ring_ = std::make_shared<obs::TraceRing>(trace_opts);
   store_probe_ = reg.RegisterProbe([this](obs::ProbeSink& sink) {
-    const store::ReadCache::Stats cache = store_->read_cache_stats();
+    const store::ReadCache::Stats cache = store_.read_cache_stats();
     sink.EmitCounter("store.cache.hits", cache.hits);
     sink.EmitCounter("store.cache.misses", cache.misses);
     sink.EmitCounter("store.cache.admissions", cache.admissions);
     sink.EmitCounter("store.cache.promotions", cache.promotions);
     sink.EmitCounter("store.cache.evictions", cache.evictions);
     sink.EmitCounter("store.cache.invalidations", cache.invalidations);
-    sink.EmitGauge("store.db_size", store_->size());
-    sink.EmitGauge("store.epoch", store_->epoch());
-    sink.EmitGauge("store.superseded", store_->superseded_count());
+    sink.EmitGauge("store.db_size", store_.size());
+    sink.EmitGauge("store.epoch", store_.epoch());
+    sink.EmitGauge("store.superseded", store_.superseded_count());
   });
 }
 
@@ -107,11 +107,11 @@ Status CommunixServer::AddDecoded(UserId user, const Signature& sig) {
   {
     obs::StageClock::Scope store_scope(obs::Stage::kStoreOp);
     outcome =
-        store_->Add(user, today, store::TopFrameSet(sig), sig.ContentId(), sig,
-                    now,
-                    store::Limits{options_.per_user_daily_limit,
-                                  options_.adjacency_check_enabled,
-                                  options_.per_tenant_daily_limit});
+        store_.Add(user, today, store::TopFrameSet(sig), sig.ContentId(), sig,
+                   now,
+                   store::Limits{options_.per_user_daily_limit,
+                                 options_.adjacency_check_enabled,
+                                 options_.per_tenant_daily_limit});
   }
   switch (outcome) {
     case store::AddOutcome::kAccepted:
@@ -241,7 +241,7 @@ void CommunixServer::VisitSince(
     std::uint64_t from,
     const std::function<void(std::uint64_t,
                              const std::vector<std::uint8_t>&)>& fn) const {
-  store_->VisitRange(from, UINT64_MAX, fn);
+  store_.VisitRange(from, UINT64_MAX, fn);
 }
 
 std::vector<std::vector<std::uint8_t>> CommunixServer::GetSince(
@@ -253,13 +253,13 @@ std::vector<std::vector<std::uint8_t>> CommunixServer::GetSince(
   return out;
 }
 
-std::uint64_t CommunixServer::db_size() const { return store_->size(); }
+std::uint64_t CommunixServer::db_size() const { return store_.size(); }
 
 void CommunixServer::VisitEntries(
     std::uint64_t from, std::uint64_t upto,
     const std::function<void(std::uint64_t,
                              const store::StoredSignature&)>& fn) const {
-  store_->VisitEntries(from, upto, fn);
+  store_.VisitEntries(from, upto, fn);
 }
 
 net::Response CommunixServer::HandleReplPull(const net::Request& request) {
@@ -287,10 +287,10 @@ net::Response CommunixServer::HandleReplPull(const net::Request& request) {
     }
   }
   net::ReplPullReply reply;
-  reply.epoch = store_->epoch();
+  reply.epoch = store_.epoch();
   // Pin the committed length once so start/count/entries are consistent
   // while ADDs keep landing.
-  reply.log_size = store_->size();
+  reply.log_size = store_.size();
   // Anti-entropy handshake: a requester on another lineage must restart
   // from 0 under our epoch — its cursor means nothing in this log.
   reply.reset = pull->epoch != reply.epoch;
@@ -303,7 +303,7 @@ net::Response CommunixServer::HandleReplPull(const net::Request& request) {
       std::min<std::uint64_t>(reply.log_size, reply.start_index + limit);
   {
     obs::StageClock::Scope store_scope(obs::Stage::kStoreOp);
-    store_->VisitEntries(
+    store_.VisitEntries(
         reply.start_index, upto,
         [&](std::uint64_t, const store::StoredSignature& entry) {
           reply.entries.push_back(
@@ -350,14 +350,14 @@ net::Response CommunixServer::HandleReplBatch(const net::Request& request) {
     return resp;
   }
   if (batch->reset) {
-    store_->ResetForReplication(batch->epoch);
+    store_.ResetForReplication(batch->epoch);
     stats_.repl_resets->Add(1);
-  } else if (batch->epoch != store_->epoch()) {
+  } else if (batch->epoch != store_.epoch()) {
     resp.code = ErrorCode::kFailedPrecondition;
     resp.error = "epoch mismatch; re-handshake required";
     return resp;
   }
-  const std::uint64_t size = store_->size();
+  const std::uint64_t size = store_.size();
   if (batch->from_index > size) {
     resp.code = ErrorCode::kFailedPrecondition;
     resp.error = "replication gap: batch starts past the committed length";
@@ -376,7 +376,7 @@ net::Response CommunixServer::HandleReplBatch(const net::Request& request) {
       entry.added_at = e.added_at;
       entry.bytes = e.sig_bytes;
       const Status s =
-          store_->ApplyReplicated(batch->from_index + i, std::move(entry));
+          store_.ApplyReplicated(batch->from_index + i, std::move(entry));
       if (!s.ok()) {
         resp.code = s.code();
         resp.error = s.message();
@@ -390,7 +390,7 @@ net::Response CommunixServer::HandleReplBatch(const net::Request& request) {
   stats_.repl_entries_skipped->Add(
       std::min<std::uint64_t>(skip, batch->entries.size()));
   return net::BuildReplBatchReply(
-      net::ReplBatchReply{store_->epoch(), store_->size()});
+      net::ReplBatchReply{store_.epoch(), store_.size()});
 }
 
 net::Response CommunixServer::HandleCheckpoint(const net::Request& request) {
@@ -444,7 +444,7 @@ net::Response CommunixServer::HandleCheckpoint(const net::Request& request) {
   const std::uint64_t installed = data.records.size();
   {
     obs::StageClock::Scope store_scope(obs::Stage::kStoreOp);
-    store_->InstallSnapshot(data.epoch, std::move(data.records));
+    store_.InstallSnapshot(data.epoch, std::move(data.records));
   }
   get_latency_[kCheckpointInstall]->Report(NanosSince(start));
   stats_.checkpoints_installed->Add(1);
@@ -452,7 +452,7 @@ net::Response CommunixServer::HandleCheckpoint(const net::Request& request) {
   // Same reply shape as kReplBatch: the shipper resumes its entry feed
   // from log_size, so only the post-checkpoint suffix is replayed.
   return net::BuildReplBatchReply(
-      net::ReplBatchReply{store_->epoch(), store_->size()});
+      net::ReplBatchReply{store_.epoch(), store_.size()});
 }
 
 net::Response CommunixServer::Handle(const net::Request& request) {
@@ -621,7 +621,7 @@ net::Response CommunixServer::HandleDispatch(const net::Request& request) {
       std::shared_ptr<const store::CachedSlice> slice;
       {
         obs::StageClock::Scope store_scope(obs::Stage::kStoreOp);
-        slice = store_->ReadSince(from, &path);
+        slice = store_.ReadSince(from, &path);
       }
       // Zero-copy reply: only the 4-byte count prefix is owned per
       // request; the entries region rides as a shared segment aliasing
@@ -695,11 +695,11 @@ net::Response CommunixServer::HandleDispatch(const net::Request& request) {
 }
 
 Status CommunixServer::SaveToFile(const std::string& path) const {
-  return store_->SaveToFile(path);
+  return store_.SaveToFile(path);
 }
 
 Status CommunixServer::LoadFromFile(const std::string& path) {
-  return store_->LoadFromFile(path);
+  return store_.LoadFromFile(path);
 }
 
 std::vector<std::uint8_t> CommunixServer::CaptureCheckpointBlob() const {
@@ -709,9 +709,9 @@ std::vector<std::uint8_t> CommunixServer::CaptureCheckpointBlob() const {
     // between the epoch read and the snapshot would pair the new log's
     // entries with the old epoch, so re-read and retry on mismatch.
     // Epochs are random nonzero ids — recurrence is not a concern.
-    const std::uint64_t e = store_->epoch();
-    std::vector<store::StoredSignature> snapshot = store_->CaptureSnapshot();
-    if (store_->epoch() != e) continue;
+    const std::uint64_t e = store_.epoch();
+    std::vector<store::StoredSignature> snapshot = store_.CaptureSnapshot();
+    if (store_.epoch() != e) continue;
     auto blob = store::SerializeCheckpoint(
         e, std::span<const store::StoredSignature>(snapshot.data(),
                                                    snapshot.size()));
@@ -721,14 +721,14 @@ std::vector<std::uint8_t> CommunixServer::CaptureCheckpointBlob() const {
 }
 
 bool CommunixServer::MarkSuperseded(std::uint64_t index) {
-  return store_->MarkSuperseded(index);
+  return store_.MarkSuperseded(index);
 }
 
 std::uint64_t CommunixServer::superseded_count() const {
-  return store_->superseded_count();
+  return store_.superseded_count();
 }
 
-std::uint64_t CommunixServer::Compact() { return store_->Compact(); }
+std::uint64_t CommunixServer::Compact() { return store_.Compact(); }
 
 std::uint64_t CommunixServer::MarkSupersededByContent(
     std::span<const std::uint64_t> content_ids) {
@@ -740,14 +740,14 @@ std::uint64_t CommunixServer::MarkSupersededByContent(
   std::unordered_set<std::uint64_t> wanted(content_ids.begin(),
                                            content_ids.end());
   std::vector<std::uint64_t> hits;
-  store_->VisitEntries(
+  store_.VisitEntries(
       0, UINT64_MAX,
       [&](std::uint64_t index, const store::StoredSignature& entry) {
         if (wanted.count(entry.content_id) != 0) hits.push_back(index);
       });
   std::uint64_t marked = 0;
   for (std::uint64_t index : hits) {
-    if (store_->MarkSuperseded(index)) ++marked;
+    if (store_.MarkSuperseded(index)) ++marked;
   }
   return marked;
 }
@@ -860,11 +860,11 @@ net::Response CommunixServer::HandleStats(const net::Request& request) {
 }
 
 std::uint64_t CommunixServer::read_generation() const {
-  return store_->read_generation();
+  return store_.read_generation();
 }
 
 store::ReadCache::Stats CommunixServer::read_cache_stats() const {
-  return store_->read_cache_stats();
+  return store_.read_cache_stats();
 }
 
 CommunixServer::Stats CommunixServer::GetStats() const {

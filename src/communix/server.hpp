@@ -17,13 +17,12 @@
 // The server itself is a thin, stateless validation pipeline; all state
 // (database, per-user quota/adjacency, dedup, persistence) lives in a
 // store::SignatureStore. The cluster tier (communix/cluster/) runs the
-// same class in two roles over the same store interface: a primary, as
-// above, and followers that refuse ADDs and instead ingest the primary's
-// committed log entries via kReplBatch — so any replica serves GET(k)
-// with byte-identical, cursor-stable results. The default sharded store lets concurrent ADDs
+// same class in two roles over the same store: a primary, as above, and
+// followers that refuse ADDs and instead ingest the primary's committed
+// log entries via kReplBatch — so any replica serves GET(k) with
+// byte-identical, cursor-stable results. The store lets concurrent ADDs
 // from different users proceed in parallel and serves GET scans without
-// blocking writers; Options.store.backend selects the seed's single-mutex
-// layout for comparison (Figure 2's bench knob).
+// blocking writers.
 //
 // Thread-safety: fully thread-safe; Figure 2 drives Handle()/AddSignature
 // from tens of thousands of logical sessions.
@@ -64,7 +63,7 @@ class CommunixServer final : public net::RequestHandler {
     AesKey server_key = kDefaultServerKey;
     std::size_t per_user_daily_limit = 10;
     bool adjacency_check_enabled = true;  // ablation knob (§III-C2 math)
-    store::StoreOptions store;            // backend + shard counts
+    store::StoreOptions store;            // shard count, epoch, read cache
     ServerRole role = ServerRole::kPrimary;
     /// Upper bound on entries shipped per kReplPull reply (defensive:
     /// a reply frame stays bounded regardless of the requested limit).
@@ -122,7 +121,7 @@ class CommunixServer final : public net::RequestHandler {
 
   ServerRole role() const { return options_.role; }
   /// Log lineage id (see store::SignatureStore::epoch).
-  std::uint64_t epoch() const { return store_->epoch(); }
+  std::uint64_t epoch() const { return store_.epoch(); }
   /// Committed-entry feed with full metadata — what the log shipper
   /// reads on the primary. Delegates to the store.
   void VisitEntries(std::uint64_t from, std::uint64_t upto,
@@ -137,7 +136,7 @@ class CommunixServer final : public net::RequestHandler {
   /// Persistence: the signature database plus per-user adjacency state
   /// survive server restarts (indexes are implicit in insertion order, so
   /// clients' incremental GET(k) cursors stay valid across restarts).
-  /// Delegates to the store; the on-disk format is backend-independent.
+  /// Delegates to the store (DB format v3; v1 and v2 files still load).
   Status SaveToFile(const std::string& path) const;
   Status LoadFromFile(const std::string& path);
 
@@ -300,7 +299,7 @@ class CommunixServer final : public net::RequestHandler {
   Clock& clock_;
   const Options options_;
   const IdAuthority authority_;
-  const std::unique_ptr<store::SignatureStore> store_;
+  store::SignatureStore store_;
 
   /// Registry-backed counters, resolved once at construction: every
   /// request path — including the rejection paths — bumps its counter

@@ -67,11 +67,9 @@ void SignatureLog::Visit(
   const std::uint64_t n = std::min(upto, size());
   std::uint64_t i = from;
   while (i < n) {
-    // One segment-pointer chase per segment. The per-entry At() loop
-    // this replaces cost an acquire load (a cache-miss-prone indirection
-    // on the shared atomic array) for every single entry — measurable as
-    // the sharded backend losing to the monolithic contiguous-vector
-    // scan in the fig2 `compare --with-scans` run.
+    // One segment-pointer chase per segment, not per entry: a per-entry
+    // acquire load (a cache-miss-prone indirection on the shared atomic
+    // array) dominated whole-database scans (fig2 `scan_cost`).
     const std::size_t seg = static_cast<std::size_t>(i >> kSegmentBits);
     const Segment* segment = segments_[seg].load(std::memory_order_acquire);
     const std::uint64_t seg_end =

@@ -11,8 +11,7 @@
 // append mutex.
 //
 // Indexes are assigned in append order and never change, so clients'
-// incremental GET(k) cursors stay valid (same guarantee the monolithic
-// server gave).
+// incremental GET(k) cursors stay valid.
 #pragma once
 
 #include <atomic>

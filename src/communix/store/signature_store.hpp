@@ -4,37 +4,40 @@
 // sender tokens, checks signature well-formedness and maps outcomes to
 // wire statuses. Everything stateful — the signature database, the
 // per-user rate-limit/adjacency state, the dedup set and persistence —
-// lives behind this interface.
+// lives in SignatureStore.
 //
-// Two backends implement the exact same §III-C decision procedure (the
-// shared pipeline in RunAddPipeline below is the single source of truth,
-// so accept/reject/duplicate outcomes and assigned GET indexes are
-// bit-identical for any serialized order of operations):
+// Layout: SignatureLog (lock-free committed reads) + UserStateShards
+// (per-user lock striping, plus a second instance for per-community day
+// quotas) + DedupIndex (striped content-id set). Concurrent ADDs from
+// different users never contend, and GET scans never block ADDs. Add
+// runs the §III-C decision procedure — day quota, tenant quota,
+// adjacency, dedup, append — so accept/reject/duplicate outcomes and
+// assigned GET indexes are those of some serialized order of the
+// operations, independent of the shard count.
 //
-//   kMonolithic — the seed's layout: one shared_mutex over a vector, a
-//     set and a user map. Baseline for the Figure-2 comparison bench.
-//   kSharded    — SignatureLog (lock-free committed reads) +
-//     UserStateShards (per-user lock striping) + DedupIndex. Concurrent
-//     ADDs from different users never contend, and GET scans never block
-//     ADDs.
+// The log is published through an atomic shared_ptr (RCU): replacing the
+// whole database (ResetForReplication, LoadFromFile, InstallSnapshot,
+// Compact) installs a fresh log object while in-flight readers finish
+// against the retired one.
 //
-// The two backends share the on-disk format: a database saved by either
-// loads into the other, and clients' incremental GET(k) cursors stay
-// valid across restarts. Version 3 (checkpoint.hpp) frames and
-// checksums the record stream so the same blob doubles as the wire
-// checkpoint a far-behind follower bootstraps from; v2 (epoch in the
-// header) and v1 (the seed server's exact layout, adopting a fresh
-// epoch on load) still load.
+// Clients' incremental GET(k) cursors stay valid across restarts.
+// Version 3 (checkpoint.hpp) frames and checksums the record stream so
+// the same blob doubles as the wire checkpoint a far-behind follower
+// bootstraps from; v2 (epoch in the header) and v1 (the seed server's
+// exact layout, adopting a fresh epoch on load) still load.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "communix/ids.hpp"
 #include "communix/store/checkpoint.hpp"
+#include "communix/store/dedup_index.hpp"
 #include "communix/store/read_cache.hpp"
 #include "communix/store/signature_log.hpp"
 #include "communix/store/user_state_shards.hpp"
@@ -77,17 +80,10 @@ struct Limits {
   std::size_t per_tenant_daily_limit = 0;
 };
 
-enum class Backend {
-  kSharded,
-  kMonolithic,
-};
-
 struct StoreOptions {
-  Backend backend = Backend::kSharded;
-  /// Lock stripes for per-user state / the dedup set (sharded backend
-  /// only; rounded up to powers of two).
-  std::size_t user_shards = 16;
-  std::size_t dedup_shards = 16;
+  /// Lock stripes for the per-user state, the per-community quota state
+  /// and the dedup set (rounded up to a power of two).
+  std::size_t shards = 16;
   /// Log epoch (replication lineage id); 0 generates a fresh
   /// process-unique nonzero value. Tests pin it for determinism.
   std::uint64_t epoch = 0;
@@ -106,28 +102,29 @@ std::uint64_t GenerateEpoch();
 
 class SignatureStore {
  public:
-  virtual ~SignatureStore() = default;
+  explicit SignatureStore(const StoreOptions& options);
+  SignatureStore(const SignatureStore&) = delete;
+  SignatureStore& operator=(const SignatureStore&) = delete;
 
   /// Runs the stateful part of ADD validation for an already
-  /// authenticated, well-formed signature: day-quota, adjacency, dedup;
-  /// on acceptance commits the signature at the next index. `day` is the
-  /// caller's clock day, `tops` = TopFrameSet(sig), `content_id` =
-  /// sig.ContentId(). The signature is serialized only on acceptance —
-  /// rejection paths never pay for ToBytes().
-  virtual AddOutcome Add(UserId sender, std::int64_t day,
-                         const TopFrameKeys& tops, std::uint64_t content_id,
-                         const dimmunix::Signature& sig, TimePoint added_at,
-                         const Limits& limits) = 0;
+  /// authenticated, well-formed signature: day quota, tenant quota,
+  /// adjacency, dedup; on acceptance commits the signature at the next
+  /// index. `day` is the caller's clock day, `tops` = TopFrameSet(sig),
+  /// `content_id` = sig.ContentId(). The signature is serialized only on
+  /// acceptance — rejection paths never pay for ToBytes().
+  AddOutcome Add(UserId sender, std::int64_t day, const TopFrameKeys& tops,
+                 std::uint64_t content_id, const dimmunix::Signature& sig,
+                 TimePoint added_at, const Limits& limits);
 
   /// Visits serialized signatures with index in [from, min(upto, size()))
-  /// in index order. On the sharded backend this never blocks writers.
-  virtual void VisitRange(
+  /// in index order. Never blocks writers.
+  void VisitRange(
       std::uint64_t from, std::uint64_t upto,
       const std::function<void(std::uint64_t index,
                                const std::vector<std::uint8_t>& sig_bytes)>&
-          fn) const = 0;
+          fn) const;
 
-  virtual std::uint64_t size() const = 0;
+  std::uint64_t size() const;
 
   // ---- replication (cluster tier) ---------------------------------------
 
@@ -136,16 +133,16 @@ class SignatureStore {
   /// metadata (sender, added_at, bytes) replication must ship for the
   /// follower's log to be byte-identical. Same non-blocking guarantees
   /// as VisitRange.
-  virtual void VisitEntries(
+  void VisitEntries(
       std::uint64_t from, std::uint64_t upto,
       const std::function<void(std::uint64_t index,
-                               const StoredSignature& entry)>& fn) const = 0;
+                               const StoredSignature& entry)>& fn) const;
 
   /// Log lineage id. Two stores with equal epochs hold byte-identical
   /// prefixes of the same log; the epoch changes only when the log's
   /// identity does (ResetForReplication, loading a file of another
   /// lineage). Lock-free read.
-  virtual std::uint64_t epoch() const = 0;
+  std::uint64_t epoch() const;
 
   /// Follower ingest: commits an entry the primary already accepted, at
   /// exactly `index` (which must equal size() — replication is ordered).
@@ -154,23 +151,22 @@ class SignatureStore {
   /// kFailedPrecondition on an index gap, kDataLoss if the bytes fail to
   /// parse or duplicate the dedup set (lineage corruption). Safe against
   /// concurrent reads; ingest itself is serialized internally.
-  virtual Status ApplyReplicated(std::uint64_t index,
-                                 StoredSignature entry) = 0;
+  Status ApplyReplicated(std::uint64_t index, StoredSignature entry);
 
   /// Clears the whole store and adopts `new_epoch` — the catch-up path a
   /// follower takes when its lineage diverged from the primary's. This
-  /// runs on a LIVE follower: it is safe against concurrent reads (the
-  /// sharded backend publishes a fresh log and in-flight scans finish
-  /// against the retired one) and serialized against ApplyReplicated.
+  /// runs on a LIVE follower: it is safe against concurrent reads (a
+  /// fresh log is published and in-flight scans finish against the
+  /// retired one) and serialized against ApplyReplicated.
   /// Only concurrent Add is excluded — followers refuse ADDs anyway.
-  virtual void ResetForReplication(std::uint64_t new_epoch) = 0;
+  void ResetForReplication(std::uint64_t new_epoch);
 
   /// Persistence. Saves write DB format v3 (checkpoint.hpp: framed,
   /// checksummed); v1 (seed layout) and v2 (+epoch) files still load.
-  virtual Status SaveToFile(const std::string& path) const = 0;
+  Status SaveToFile(const std::string& path) const;
   /// Restart-time only (like the seed's whole-db swap): not safe against
   /// concurrent Add/Visit.
-  virtual Status LoadFromFile(const std::string& path) = 0;
+  Status LoadFromFile(const std::string& path);
 
   // ---- read/bootstrap performance tier ----------------------------------
 
@@ -181,7 +177,7 @@ class SignatureStore {
   /// built against a retired log is ever served (the RCU-invalidation
   /// argument: swap ⇒ new generation ⇒ whole-table clear on first
   /// access). Lock-free read; always a stable (not mid-swap) value.
-  virtual std::uint64_t read_generation() const = 0;
+  std::uint64_t read_generation() const;
 
   /// How a ReadSince was satisfied (the server's GET latency buckets).
   enum class ReadPath {
@@ -195,18 +191,18 @@ class SignatureStore {
   /// region a GET reply carries after its count prefix. Consults the 2Q
   /// cache first; a hit whose upto lags the committed length is extended
   /// (prefix bytes reused, only [upto, size()) scanned). Never blocks
-  /// writers on the sharded backend. A cursor at or past the committed
+  /// writers. A cursor at or past the committed
   /// length returns an empty, uncached slice (reported as kCacheHit —
   /// no entries were scanned). Never nullptr.
-  virtual std::shared_ptr<const CachedSlice> ReadSince(
-      std::uint64_t from, ReadPath* path = nullptr) = 0;
+  std::shared_ptr<const CachedSlice> ReadSince(std::uint64_t from,
+                                               ReadPath* path = nullptr);
 
-  virtual ReadCache::Stats read_cache_stats() const = 0;
+  ReadCache::Stats read_cache_stats() const;
 
   /// Copy of the committed prefix (entries [0, size()) with superseded
-  /// flags folded in) — the checkpoint input. On the sharded backend this
-  /// reads the immutable committed prefix without blocking writers.
-  virtual std::vector<StoredSignature> CaptureSnapshot() const = 0;
+  /// flags folded in) — the checkpoint input. Reads the immutable committed
+  /// prefix without blocking writers.
+  std::vector<StoredSignature> CaptureSnapshot() const;
 
   /// Installs a ParseCheckpoint-validated snapshot, replacing the whole
   /// store and adopting `epoch` — the bootstrap path a far-behind
@@ -214,15 +210,15 @@ class SignatureStore {
   /// suffix via ApplyReplicated. Same liveness contract as
   /// ResetForReplication: safe against concurrent reads, serialized
   /// against ingest, concurrent Add excluded.
-  virtual void InstallSnapshot(std::uint64_t epoch,
-                               std::vector<CheckpointRecord> records) = 0;
+  void InstallSnapshot(std::uint64_t epoch,
+                       std::vector<CheckpointRecord> records);
 
   /// Marks committed entry `index` superseded (ReplaceSignature /
   /// FP-disable lineage). Idempotent: true on the first mark, false if
   /// already marked or out of range. The entry keeps streaming in GETs
   /// until Compact — marks never perturb live cursors.
-  virtual bool MarkSuperseded(std::uint64_t index) = 0;
-  virtual std::uint64_t superseded_count() const = 0;
+  bool MarkSuperseded(std::uint64_t index);
+  std::uint64_t superseded_count() const;
 
   /// Drops every superseded entry, renumbering the survivors into a
   /// fresh log with a fresh epoch — compaction is a lineage change, and
@@ -236,9 +232,42 @@ class SignatureStore {
   /// the invariant the store tests pin. Safe against concurrent reads;
   /// concurrent Add excluded, like ResetForReplication. Returns the
   /// number of entries dropped.
-  virtual std::uint64_t Compact() = 0;
+  std::uint64_t Compact();
 
-  static std::unique_ptr<SignatureStore> Create(const StoreOptions& options);
+ private:
+  std::shared_ptr<SignatureLog> Log() const {
+    return log_.load(std::memory_order_acquire);
+  }
+
+  /// A consistent (generation, log) pair — see ReadView.
+  struct View {
+    std::uint64_t gen;
+    std::shared_ptr<SignatureLog> log;
+  };
+  View ReadView() const;
+
+  /// Swaps the published log + epoch under the seqlock. Caller holds
+  /// ingest_mu_ (swaps are serialized; the seqlock only shields the
+  /// lock-free readers).
+  void PublishLogLocked(std::shared_ptr<SignatureLog> log,
+                        std::uint64_t new_epoch);
+
+  UserStateShards users_;
+  /// Per-community day quota (only the day/processed_today fields are
+  /// used), striped independently of users_: nested acquisition in Add
+  /// is always user → tenant across these two distinct structures, so
+  /// there is no cycle. Cleared wherever users_ is.
+  UserStateShards tenants_;
+  DedupIndex dedup_;
+  std::atomic<std::shared_ptr<SignatureLog>> log_;
+  /// Serializes replication ingest and every log swap.
+  std::mutex ingest_mu_;
+  mutable ReadCache cache_;
+  const bool cache_enabled_;
+  std::atomic<std::uint64_t> epoch_;
+  /// Log-identity generation (seqlock word): even when stable, odd
+  /// mid-swap; the *user-visible* generation is the even value.
+  std::atomic<std::uint64_t> gen_{0};
 };
 
 }  // namespace communix::store

@@ -555,12 +555,22 @@ void TcpServer::ServeReadable(int fd) {
       drop = true;
       break;
     }
-    if (c->over_cap || c->close_after_drain) {
-      // Backpressure (or peer EOF): stop consuming input. Unread bytes
-      // stay in the kernel buffer, so TCP flow control throttles the
-      // sender; leftover complete frames in inbuf resume after drain.
+    if (c->over_cap) {
+      // Backpressure: stop consuming input. Unread bytes stay in the
+      // kernel buffer, so TCP flow control throttles the sender;
+      // leftover complete frames in inbuf resume after drain.
+      if (!FlushConn(*c)) {
+        drop = true;
+        break;
+      }
+      // This flush drained the whole queue (the kernel took it all):
+      // nothing will raise POLLOUT, and the sender may have nothing more
+      // to send, so re-arming for POLLIN would strand the buffered
+      // frames. Resume parsing here instead.
+      if (c->outq.empty()) continue;
       break;
     }
+    if (c->close_after_drain) break;  // peer EOF: stop consuming input
     std::uint8_t buf[kReadChunk];
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n > 0) {

@@ -146,14 +146,12 @@ TEST(CheckpointTest, ZeroEntryCheckpointIsValid) {
 
 // ---- store-level invariants over the format ----
 
-class CheckpointStoreTest : public ::testing::TestWithParam<Backend> {
+class CheckpointStoreTest : public ::testing::Test {
  protected:
-  std::unique_ptr<SignatureStore> Make() const {
+  static std::unique_ptr<SignatureStore> Make() {
     StoreOptions opts;
-    opts.backend = GetParam();
-    opts.user_shards = 4;
-    opts.dedup_shards = 4;
-    return SignatureStore::Create(opts);
+    opts.shards = 4;
+    return std::make_unique<SignatureStore>(opts);
   }
 
   void Add(SignatureStore& store, std::uint32_t salt) {
@@ -166,7 +164,7 @@ class CheckpointStoreTest : public ::testing::TestWithParam<Backend> {
   Limits limits_{.per_user_daily_limit = 1u << 20};
 };
 
-TEST_P(CheckpointStoreTest, SnapshotInstallEqualsOriginal) {
+TEST_F(CheckpointStoreTest, SnapshotInstallEqualsOriginal) {
   auto store = Make();
   for (std::uint32_t i = 0; i < 30; ++i) Add(*store, i);
   ASSERT_TRUE(store->MarkSuperseded(5));
@@ -193,7 +191,7 @@ TEST_P(CheckpointStoreTest, SnapshotInstallEqualsOriginal) {
             AddOutcome::kDuplicate);
 }
 
-TEST_P(CheckpointStoreTest, CompactEqualsCheckpointOfSurvivors) {
+TEST_F(CheckpointStoreTest, CompactEqualsCheckpointOfSurvivors) {
   // The invariant Compact() documents: compacting in place must be
   // indistinguishable from checkpointing the survivors and installing
   // that checkpoint into a fresh store — same bytes, same dedup state.
@@ -240,7 +238,7 @@ TEST_P(CheckpointStoreTest, CompactEqualsCheckpointOfSurvivors) {
   EXPECT_EQ(ra, AddOutcome::kAccepted);
 }
 
-TEST_P(CheckpointStoreTest, SaveIsV3AndCorruptFilesRefuseToLoad) {
+TEST_F(CheckpointStoreTest, SaveIsV3AndCorruptFilesRefuseToLoad) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "communix_ckpt_v3.bin")
           .string();
@@ -271,15 +269,6 @@ TEST_P(CheckpointStoreTest, SaveIsV3AndCorruptFilesRefuseToLoad) {
   EXPECT_EQ(victim->size(), 1u) << "failed load must not wipe the store";
   std::filesystem::remove(path);
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, CheckpointStoreTest,
-                         ::testing::Values(Backend::kSharded,
-                                           Backend::kMonolithic),
-                         [](const auto& info) {
-                           return info.param == Backend::kSharded
-                                      ? "Sharded"
-                                      : "Monolithic";
-                         });
 
 }  // namespace
 }  // namespace communix::store

@@ -2,7 +2,7 @@
 // admission cache in isolation (probation, ghost promotion, generation
 // invalidation) and the store's ReadSince on top of it — the cached GET
 // fast path must stay byte-identical to the cold scan under every
-// combination of backend, cache setting, appends, resets and compaction.
+// combination of cache setting, appends, resets and compaction.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -99,15 +99,13 @@ TEST(ReadCacheTest, ClearDropsResidentsAndGhosts) {
 
 // ---- the store's ReadSince fast path over the cache ----
 
-class ReadSinceTest : public ::testing::TestWithParam<Backend> {
+class ReadSinceTest : public ::testing::Test {
  protected:
-  std::unique_ptr<SignatureStore> Make(std::size_t slices = 64) const {
+  static std::unique_ptr<SignatureStore> Make(std::size_t slices = 64) {
     StoreOptions opts;
-    opts.backend = GetParam();
-    opts.user_shards = 4;
-    opts.dedup_shards = 4;
+    opts.shards = 4;
     opts.read_cache_slices = slices;
-    return SignatureStore::Create(opts);
+    return std::make_unique<SignatureStore>(opts);
   }
 
   static Signature MakeSig(std::uint32_t salt) {
@@ -129,7 +127,7 @@ class ReadSinceTest : public ::testing::TestWithParam<Backend> {
   Limits limits_;
 };
 
-TEST_P(ReadSinceTest, CachedAndColdRepliesAreByteIdentical) {
+TEST_F(ReadSinceTest, CachedAndColdRepliesAreByteIdentical) {
   auto cached = Make(64);
   auto cold = Make(0);
   for (std::uint32_t i = 0; i < 40; ++i) {
@@ -154,7 +152,7 @@ TEST_P(ReadSinceTest, CachedAndColdRepliesAreByteIdentical) {
   }
 }
 
-TEST_P(ReadSinceTest, ExtensionScansOnlyTheSuffix) {
+TEST_F(ReadSinceTest, ExtensionScansOnlyTheSuffix) {
   auto store = Make();
   for (std::uint32_t i = 0; i < 10; ++i) Add(*store, i);
   SignatureStore::ReadPath path{};
@@ -177,7 +175,7 @@ TEST_P(ReadSinceTest, ExtensionScansOnlyTheSuffix) {
   EXPECT_EQ(extended->payload, cold->ReadSince(0)->payload);
 }
 
-TEST_P(ReadSinceTest, HotCursorHitRateIsHigh) {
+TEST_F(ReadSinceTest, HotCursorHitRateIsHigh) {
   // The acceptance bar: >= 90% hits on a repeat-read workload.
   auto store = Make();
   for (std::uint32_t i = 0; i < 50; ++i) Add(*store, i);
@@ -191,7 +189,7 @@ TEST_P(ReadSinceTest, HotCursorHitRateIsHigh) {
                            << " misses=" << stats.misses;
 }
 
-TEST_P(ReadSinceTest, EmptyCursorPollsBypassTheCache) {
+TEST_F(ReadSinceTest, EmptyCursorPollsBypassTheCache) {
   auto store = Make();
   for (std::uint32_t i = 0; i < 3; ++i) Add(*store, i);
   const auto before = store->read_cache_stats();
@@ -203,7 +201,7 @@ TEST_P(ReadSinceTest, EmptyCursorPollsBypassTheCache) {
   EXPECT_EQ(after.misses, before.misses) << "no stats pollution";
 }
 
-TEST_P(ReadSinceTest, GenerationBumpsInvalidateAcrossLogSwaps) {
+TEST_F(ReadSinceTest, GenerationBumpsInvalidateAcrossLogSwaps) {
   auto store = Make();
   for (std::uint32_t i = 0; i < 8; ++i) Add(*store, i);
   const std::uint64_t gen0 = store->read_generation();
@@ -221,7 +219,7 @@ TEST_P(ReadSinceTest, GenerationBumpsInvalidateAcrossLogSwaps) {
   EXPECT_EQ(fresh->count, 3u) << "post-swap reads see only the new log";
 }
 
-TEST_P(ReadSinceTest, CompactInvalidatesAndRepliesStayConsistent) {
+TEST_F(ReadSinceTest, CompactInvalidatesAndRepliesStayConsistent) {
   auto store = Make();
   for (std::uint32_t i = 0; i < 12; ++i) Add(*store, i);
   ASSERT_EQ(store->ReadSince(0)->count, 12u);
@@ -242,7 +240,7 @@ TEST_P(ReadSinceTest, CompactInvalidatesAndRepliesStayConsistent) {
   EXPECT_EQ(store->ReadSince(0)->payload, store->ReadSince(0)->payload);
 }
 
-TEST_P(ReadSinceTest, ConcurrentReadersAndWritersStayCoherent) {
+TEST_F(ReadSinceTest, ConcurrentReadersAndWritersStayCoherent) {
   // Hammer ReadSince while ADDs land: every reply must be internally
   // consistent (count parses against payload) and a prefix of the final
   // cold scan. Run under TSAN via the communix test binary.
@@ -269,15 +267,6 @@ TEST_P(ReadSinceTest, ConcurrentReadersAndWritersStayCoherent) {
         << "mid-flight reply was not a prefix of the final log";
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, ReadSinceTest,
-                         ::testing::Values(Backend::kSharded,
-                                           Backend::kMonolithic),
-                         [](const auto& info) {
-                           return info.param == Backend::kSharded
-                                      ? "Sharded"
-                                      : "Monolithic";
-                         });
 
 }  // namespace
 }  // namespace communix::store

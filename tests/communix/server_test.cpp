@@ -507,17 +507,14 @@ TEST_F(ServerTest, GetScansRaceConcurrentBatchAppends) {
 // ---------------------------------------------------------------------------
 // Zero-copy reply accounting: a repeat-poll GET workload must serve the
 // entries region as shared segments (aliasing the 2Q cache's slice) and
-// copy only the 4-byte count prefix per request — on BOTH store
-// backends. This is the structural proof that the wire tier preserves
-// the cache's sharing instead of re-memcpying O(db) per connection.
+// copy only the 4-byte count prefix per request. This is the structural
+// proof that the wire tier preserves the cache's sharing instead of
+// re-memcpying O(db) per connection.
 // ---------------------------------------------------------------------------
-class ZeroCopyReplyTest : public ::testing::TestWithParam<store::Backend> {};
-
-TEST_P(ZeroCopyReplyTest, CacheHitGetsCopyOnlyTheCountPrefix) {
+TEST(ZeroCopyReplyTest, CacheHitGetsCopyOnlyTheCountPrefix) {
   VirtualClock clock;
   CommunixServer::Options opts;
   opts.per_user_daily_limit = 1000;
-  opts.store.backend = GetParam();
   opts.store.read_cache_slices = 16;
   CommunixServer server(clock, opts);
 
@@ -573,10 +570,6 @@ TEST_P(ZeroCopyReplyTest, CacheHitGetsCopyOnlyTheCountPrefix) {
   EXPECT_EQ(again.FlattenedPayload(), flat);
   EXPECT_EQ(again.Serialize(), first.Serialize());
 }
-
-INSTANTIATE_TEST_SUITE_P(BothBackends, ZeroCopyReplyTest,
-                         ::testing::Values(store::Backend::kSharded,
-                                           store::Backend::kMonolithic));
 
 // GetStats (and the kStats snapshot behind it) must never tear the ADD
 // ledger: every snapshot satisfies sum(outcome counters) <=

@@ -1,7 +1,7 @@
 // Unit tests for the store subsystem: the segmented SignatureLog and its
 // lock-free committed reads, the lock-striped user state and dedup index,
-// and both SignatureStore backends (including cross-backend persistence:
-// the on-disk format is backend-independent).
+// and the SignatureStore built from them (including a persistence round
+// trip that rebuilds the dedup/adjacency state).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -230,16 +230,14 @@ TEST(DedupIndexTest, ConcurrentInsertOfSameIdHasOneWinner) {
       << "each id must be won exactly once across all threads";
 }
 
-// ---- SignatureStore backends ----
+// ---- SignatureStore ----
 
-class StoreBackendTest : public ::testing::TestWithParam<Backend> {
+class SignatureStoreTest : public ::testing::Test {
  protected:
-  std::unique_ptr<SignatureStore> Make() const {
+  static std::unique_ptr<SignatureStore> Make() {
     StoreOptions opts;
-    opts.backend = GetParam();
-    opts.user_shards = 4;
-    opts.dedup_shards = 4;
-    return SignatureStore::Create(opts);
+    opts.shards = 4;
+    return std::make_unique<SignatureStore>(opts);
   }
 
   static Signature MakeSig(std::uint32_t salt) {
@@ -258,7 +256,7 @@ class StoreBackendTest : public ::testing::TestWithParam<Backend> {
   Limits limits_;
 };
 
-TEST_P(StoreBackendTest, AcceptDuplicateAndIndexOrder) {
+TEST_F(SignatureStoreTest, AcceptDuplicateAndIndexOrder) {
   auto store = Make();
   EXPECT_EQ(Add(*store, 1, MakeSig(0)), AddOutcome::kAccepted);
   EXPECT_EQ(Add(*store, 2, MakeSig(1000)), AddOutcome::kAccepted);
@@ -273,7 +271,7 @@ TEST_P(StoreBackendTest, AcceptDuplicateAndIndexOrder) {
   EXPECT_EQ(indexes, (std::vector<std::uint64_t>{0, 1}));
 }
 
-TEST_P(StoreBackendTest, RateLimitCountsProcessedNotAccepted) {
+TEST_F(SignatureStoreTest, RateLimitCountsProcessedNotAccepted) {
   auto store = Make();
   limits_.per_user_daily_limit = 3;
   // Duplicates consume quota too ("10 signatures *processed* per day").
@@ -285,7 +283,7 @@ TEST_P(StoreBackendTest, RateLimitCountsProcessedNotAccepted) {
   EXPECT_EQ(Add(*store, 1, MakeSig(9000), /*day=*/1), AddOutcome::kAccepted);
 }
 
-TEST_P(StoreBackendTest, TenantQuotaCapsTheCommunityAggregate) {
+TEST_F(SignatureStoreTest, TenantQuotaCapsTheCommunityAggregate) {
   auto store = Make();
   limits_.per_user_daily_limit = 10;
   limits_.per_tenant_daily_limit = 3;
@@ -307,7 +305,7 @@ TEST_P(StoreBackendTest, TenantQuotaCapsTheCommunityAggregate) {
             AddOutcome::kAccepted);
 }
 
-TEST_P(StoreBackendTest, TenantQuotaCountsProcessedAfterUserQuota) {
+TEST_F(SignatureStoreTest, TenantQuotaCountsProcessedAfterUserQuota) {
   auto store = Make();
   limits_.per_user_daily_limit = 1;
   limits_.per_tenant_daily_limit = 3;
@@ -335,7 +333,7 @@ TEST_P(StoreBackendTest, TenantQuotaCountsProcessedAfterUserQuota) {
   }
 }
 
-TEST_P(StoreBackendTest, AdjacencyRejectedPerUser) {
+TEST_F(SignatureStoreTest, AdjacencyRejectedPerUser) {
   auto store = Make();
   const auto shared_top = F("st.A", "s1", 100);
   const Signature s1 = Sig2(ChainStack("st.A", 6, shared_top),
@@ -357,7 +355,7 @@ TEST_P(StoreBackendTest, AdjacencyRejectedPerUser) {
   EXPECT_EQ(Add(*store2, 1, s2), AddOutcome::kAccepted);
 }
 
-TEST_P(StoreBackendTest, PersistenceRoundTripsAcrossBothBackends) {
+TEST_F(SignatureStoreTest, PersistenceRoundTripRebuildsDerivedState) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "communix_store_xb.bin")
           .string();
@@ -366,31 +364,32 @@ TEST_P(StoreBackendTest, PersistenceRoundTripsAcrossBothBackends) {
   ASSERT_EQ(Add(*store, 2, MakeSig(1000)), AddOutcome::kAccepted);
   ASSERT_TRUE(store->SaveToFile(path).ok());
 
-  // Load into BOTH backends: the format is backend-independent, and the
-  // rebuilt dedup/adjacency state keeps enforcing the same rules.
-  for (const Backend other : {Backend::kSharded, Backend::kMonolithic}) {
+  // Load into stores of a different stripe count than the saver's: the
+  // format is layout-independent, and the rebuilt dedup/adjacency state
+  // keeps enforcing the same rules.
+  for (const std::size_t shards : {1u, 16u}) {
     StoreOptions opts;
-    opts.backend = other;
-    auto loaded = SignatureStore::Create(opts);
-    ASSERT_TRUE(loaded->LoadFromFile(path).ok());
-    EXPECT_EQ(loaded->size(), 2u);
-    EXPECT_EQ(Add(*loaded, 9, MakeSig(0)), AddOutcome::kDuplicate);
+    opts.shards = shards;
+    SignatureStore loaded(opts);
+    ASSERT_TRUE(loaded.LoadFromFile(path).ok());
+    EXPECT_EQ(loaded.size(), 2u);
+    EXPECT_EQ(loaded.epoch(), store->epoch());
+    EXPECT_EQ(Add(loaded, 9, MakeSig(0)), AddOutcome::kDuplicate);
     std::vector<std::vector<std::uint8_t>> orig, reread;
     store->VisitRange(0, UINT64_MAX,
                       [&](std::uint64_t, const std::vector<std::uint8_t>& b) {
                         orig.push_back(b);
                       });
-    loaded->VisitRange(0, UINT64_MAX,
-                       [&](std::uint64_t, const std::vector<std::uint8_t>& b) {
-                         reread.push_back(b);
-                       });
+    loaded.VisitRange(0, UINT64_MAX,
+                      [&](std::uint64_t, const std::vector<std::uint8_t>& b) {
+                        reread.push_back(b);
+                      });
     EXPECT_EQ(orig, reread) << "index order must survive the round trip";
   }
   std::remove(path.c_str());
 }
 
-TEST_P(StoreBackendTest, ConcurrentAddsFromDistinctUsersAllLand)
-{
+TEST_F(SignatureStoreTest, ConcurrentAddsFromDistinctUsersAllLand) {
   auto store = Make();
   limits_.per_user_daily_limit = 1'000'000;
   constexpr int kThreads = 8;
@@ -422,15 +421,6 @@ TEST_P(StoreBackendTest, ConcurrentAddsFromDistinctUsersAllLand)
                     });
   EXPECT_EQ(visited, store->size());
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, StoreBackendTest,
-                         ::testing::Values(Backend::kSharded,
-                                           Backend::kMonolithic),
-                         [](const auto& info) {
-                           return info.param == Backend::kSharded
-                                      ? "sharded"
-                                      : "monolithic";
-                         });
 
 }  // namespace
 }  // namespace communix::store

@@ -61,6 +61,7 @@ TEST(FairnessTest, WokenWaiterBeatsEveryLaterBarger) {
   Monitor m("contested");
 
   constexpr int kBargerCycles = 2'000;
+  std::atomic<bool> holder_owns{false};
   std::atomic<bool> waiter_blocked{false};
   std::atomic<bool> waiter_acquired{false};
   std::atomic<int> barger_cycles_at_acquire{-1};
@@ -74,6 +75,7 @@ TEST(FairnessTest, WokenWaiterBeatsEveryLaterBarger) {
     {
       ScopedFrame f(ctx, "fair.H", "run", 1);
       ASSERT_TRUE(rt.Acquire(ctx, m).ok());
+      holder_owns.store(true);
       AwaitOrDie([&] { return waiter_blocked.load(); },
                  "waiter never parked");
       rt.Release(ctx, m);
@@ -81,13 +83,15 @@ TEST(FairnessTest, WokenWaiterBeatsEveryLaterBarger) {
     rt.DetachThread(ctx);
   });
 
-  // Waiter: blocks on the held monitor via the slow path. wait_rounds
-  // only ticks inside the version-gated park, so observing it nonzero
-  // proves the waiter is enqueued with the waiter bit set.
+  // Waiter: starts only once the holder owns the monitor, so it blocks
+  // on it via the slow path whichever thread the OS ran first.
+  // wait_rounds only ticks inside the version-gated park, so observing
+  // it nonzero proves the waiter is enqueued with the waiter bit set.
   std::thread waiter([&] {
     auto& ctx = rt.AttachThread("waiter");
     {
       ScopedFrame f(ctx, "fair.W", "run", 1);
+      AwaitOrDie([&] { return holder_owns.load(); }, "holder never acquired");
       std::thread announce([&] {
         AwaitOrDie([&] { return rt.GetStats().wait_rounds >= 1; },
                    "waiter never reached the parked state");
@@ -150,19 +154,29 @@ TEST(FairnessTest, FailedFastPathCasWithWaitersCountsBargePrevented) {
   DimmunixRuntime rt(clock);
   Monitor m("contested");
 
+  std::atomic<bool> holder_owns{false};
   std::atomic<bool> waiter_parked{false};
   std::atomic<bool> barge_attempted{false};
+  std::atomic<const ThreadContext*> barger_ctx{nullptr};
 
   std::thread holder([&] {
     auto& ctx = rt.AttachThread("holder");
     {
       ScopedFrame f(ctx, "bp.H", "run", 1);
       ASSERT_TRUE(rt.Acquire(ctx, m).ok());
+      holder_owns.store(true);
       // Release only after the barger's fast-path CAS has provably
-      // failed against the waiter bit, so the counter check below is
-      // deterministic, not a race we usually win.
+      // failed against the waiter bit AND the barger has parked in the
+      // wait queue behind the waiter, so both counter checks below are
+      // deterministic, not races we usually win.
       AwaitOrDie([&] { return rt.GetStats().barges_prevented >= 1; },
                  "barger's fast CAS never observed the waiter bit");
+      AwaitOrDie(
+          [&] {
+            const ThreadContext* b = barger_ctx.load();
+            return b != nullptr && rt.IsQuiescentlyParkedForTest(*b);
+          },
+          "barger never parked behind the waiter");
       rt.Release(ctx, m);
     }
     rt.DetachThread(ctx);
@@ -172,6 +186,9 @@ TEST(FairnessTest, FailedFastPathCasWithWaitersCountsBargePrevented) {
     auto& ctx = rt.AttachThread("waiter");
     {
       ScopedFrame f(ctx, "bp.W", "run", 1);
+      // Start only once the holder owns the monitor, whichever thread
+      // the OS ran first: the waiter must block, not acquire.
+      AwaitOrDie([&] { return holder_owns.load(); }, "holder never acquired");
       std::thread announce([&] {
         AwaitOrDie([&] { return rt.GetStats().wait_rounds >= 1; },
                    "waiter never parked");
@@ -186,6 +203,7 @@ TEST(FairnessTest, FailedFastPathCasWithWaitersCountsBargePrevented) {
 
   std::thread barger([&] {
     auto& ctx = rt.AttachThread("barger");
+    barger_ctx.store(&ctx);
     {
       ScopedFrame f(ctx, "bp.B", "run", 1);
       while (!waiter_parked.load()) std::this_thread::yield();
@@ -205,8 +223,10 @@ TEST(FairnessTest, FailedFastPathCasWithWaitersCountsBargePrevented) {
   EXPECT_TRUE(barge_attempted.load());
   const auto stats = rt.GetStats();
   EXPECT_GE(stats.barges_prevented, 1u);
-  // holder -> waiter, then waiter -> barger (still queued).
-  EXPECT_GE(stats.handoffs, 2u);
+  // holder -> waiter, then waiter -> barger: the barger was parked in
+  // the queue before the holder released, and a queued waiter leaves
+  // the queue only through a grant, so both releases hand off.
+  EXPECT_EQ(stats.handoffs, 2u);
 }
 
 // Wake-path stress (part of the CI smoke): many threads contending on

@@ -2,10 +2,12 @@
 // reassembly from a 1-byte request trickle, every possible reply
 // truncation as seen by TcpClient::Receive, and pipelined bursts whose
 // replies must coalesce into a handful of gather flushes while staying
-// in request order.
+// in request order — including a burst whose replies overrun the
+// per-connection outbound cap.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -44,6 +46,14 @@ class RawSocket {
   bool Send(const void* data, std::size_t len) {
     return ::send(fd_, data, len, MSG_NOSIGNAL) ==
            static_cast<ssize_t>(len);
+  }
+  /// Bounds every later recv: a reply that never comes fails ReadExact
+  /// instead of hanging the test.
+  void SetRecvTimeout(int ms) {
+    timeval tv{};
+    tv.tv_sec = ms / 1000;
+    tv.tv_usec = (ms % 1000) * 1000;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
   }
   bool ReadExact(std::uint8_t* out, std::size_t len) {
     std::size_t got = 0;
@@ -245,12 +255,71 @@ TEST(FramingTest, PipelinedBurstRepliesCoalesceInOrder) {
         << "reply " << static_cast<int>(i) << " out of order";
   }
 
+  // The worker counts a flush after its sendmsg returns, so the client
+  // can hold every reply before the count lands; Stop() joins the
+  // workers, after which the ledger is final.
+  server.Stop();
   const auto stats = server.GetStats();
   EXPECT_GE(stats.writev_flushes, 1u);
   EXPECT_LE(stats.writev_flushes, 8u)
       << "32 pipelined replies should coalesce into a few gather "
          "flushes, not one syscall each";
+}
+
+// ---------------------------------------------------------------------------
+// Over-cap pipelining: a burst whose replies exceed max_outbound_bytes
+// pauses intake mid-burst with complete frames still buffered. When the
+// worker's end-of-burst flush drains the whole queue (the kernel socket
+// buffer absorbs it — the client has not read yet), no POLLOUT and no new
+// request bytes will ever wake the connection, so the worker itself must
+// resume parsing. Every reply must arrive, in order, before the deadline.
+// ---------------------------------------------------------------------------
+TEST(FramingTest, OverCapPipelinedBurstGetsEveryReply) {
+  EchoHandler handler;
+  TcpServer::Options opts;
+  opts.worker_threads = 1;
+  opts.max_outbound_bytes = 2048;  // crossed every two or three replies
+  TcpServer server(handler, opts);
+  ASSERT_TRUE(server.Start().ok());
+
+  // 64 x ~1 KiB replies: far over the cap, far under what the loopback
+  // socket buffers absorb, so each flush drains completely.
+  constexpr int kBurst = 64;
+  std::vector<std::uint8_t> burst;
+  for (int i = 0; i < kBurst; ++i) {
+    Request req;
+    req.type = MsgType::kPing;
+    req.payload.assign(1000, static_cast<std::uint8_t>(i));
+    const auto frame = FrameFor(req);
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  }
+
+  RawSocket raw;
+  ASSERT_TRUE(raw.Connect(server.port()));
+  ASSERT_TRUE(raw.Send(burst.data(), burst.size()));
+  raw.SetRecvTimeout(5000);
+
+  for (int i = 0; i < kBurst; ++i) {
+    std::uint8_t header[4];
+    ASSERT_TRUE(raw.ReadExact(header, 4))
+        << "reply " << i << " of " << kBurst << " never arrived";
+    std::uint32_t len = 0;
+    for (int b = 0; b < 4; ++b) {
+      len |= static_cast<std::uint32_t>(header[b]) << (b * 8);
+    }
+    ASSERT_LE(len, 2048u);
+    std::vector<std::uint8_t> body(len);
+    ASSERT_TRUE(raw.ReadExact(body.data(), len));
+    const auto resp = Response::Deserialize(
+        std::span<const std::uint8_t>(body.data(), body.size()));
+    ASSERT_TRUE(resp.has_value());
+    EXPECT_EQ(resp->payload,
+              std::vector<std::uint8_t>(1000, static_cast<std::uint8_t>(i)))
+        << "reply " << i << " out of order";
+  }
   server.Stop();
+  EXPECT_GE(server.GetStats().backpressure_stalls, 1u)
+      << "the burst must actually cross the outbound cap";
 }
 
 }  // namespace

@@ -2,9 +2,10 @@
 # CI entry point.
 #
 # Default: tier-1 verify (configure + build + full ctest) followed by the
-# Figure-2 server bench (sharded-vs-monolithic comparison) and the
-# Table-II overhead bench (fast-path-vs-global-lock comparison), both in
-# smoke mode, recording the perf trajectory in BENCH_fig2.json and
+# Figure-2 server bench (sweep, ADD throughput with and without scans,
+# replica/group/cache/bootstrap/scan/net series) and the Table-II
+# overhead bench (fast-path-vs-global-lock comparison), both in smoke
+# mode, recording the perf trajectory in BENCH_fig2.json and
 # BENCH_overhead.json at the repo root.
 #
 # Both the default and --tsan modes additionally run the net smoke:
@@ -38,8 +39,11 @@
 # wakeup-ordering suites on top.
 #
 # --asan: AddressSanitizer build (separate build-asan dir) running the
-# same binaries — lifetime coverage for the context reaper and the
-# entry sharing across delta-rebuilt index snapshots.
+# dimmunix + util binaries — lifetime coverage for the context reaper and
+# the entry sharing across delta-rebuilt index snapshots — plus the
+# communix, cluster and obs binaries: the store's RCU log swap and
+# ReadCache slice lifetimes, replication ingest and checkpoint install,
+# and the metrics registry's probe handles.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -63,7 +67,7 @@ if [[ "${1:-}" == "--tsan" ]]; then
       --gtest_repeat=5
   TSAN_OPTIONS="${TSAN}" ./build-tsan/util_tests
   # Store-tier smoke under TSAN: concurrent ReadSince (2Q cache + RCU log
-  # swap) racing ADDs on both backends.
+  # swap) racing ADDs.
   TSAN_OPTIONS="${TSAN}" ./build-tsan/communix_tests \
       --gtest_filter='*ConcurrentReadersAndWritersStayCoherent*'
   # Cluster smoke under TSAN: kill-primary failover, the background
@@ -90,10 +94,15 @@ fi
 
 if [[ "${1:-}" == "--asan" ]]; then
   cmake -B build-asan -S . -DCOMMUNIX_ASAN=ON
-  cmake --build build-asan -j"${JOBS}" --target dimmunix_tests util_tests
+  cmake --build build-asan -j"${JOBS}" --target dimmunix_tests util_tests \
+        communix_tests cluster_tests obs_tests communix_server communix_stats
   ASAN_OPTIONS="halt_on_error=1" ./build-asan/dimmunix_tests
   ASAN_OPTIONS="halt_on_error=1" ./build-asan/util_tests
-  echo "ci: asan clean (dimmunix_tests, util_tests)"
+  ASAN_OPTIONS="halt_on_error=1" ./build-asan/communix_tests
+  ASAN_OPTIONS="halt_on_error=1" ./build-asan/cluster_tests
+  ASAN_OPTIONS="halt_on_error=1" ./build-asan/obs_tests
+  echo "ci: asan clean (dimmunix_tests, util_tests, communix_tests," \
+       "cluster_tests, obs_tests)"
   exit 0
 fi
 
@@ -119,9 +128,10 @@ echo "ci: wake-path stress smoke passed"
     --gtest_filter='ClusterSmoke.*:CheckpointBootstrapTest.*:ClusterClientCacheTest.*:ShardedSmoke.*'
 echo "ci: cluster smoke passed (failover, checkpoint bootstrap, read cache, sharded routing)"
 
-# Net smoke: slow-client containment + hostile framing on the
-# non-blocking reply path, the zero-copy reply accounting on both store
-# backends, and the two-process shipper over real daemons.
+# Net smoke: slow-client containment + hostile framing (including a
+# pipelined burst over the outbound cap) on the non-blocking reply path,
+# the zero-copy reply accounting, and the two-process shipper over real
+# daemons.
 ./build/net_tests --gtest_filter='SlowClientTest.*:FramingTest.*'
 ./build/communix_tests --gtest_filter='*ZeroCopyReplyTest*'
 ./build/cluster_tests --gtest_filter='TwoProcessShipper.*:StatsScrape.*'
